@@ -1215,6 +1215,7 @@ impl Daemon {
         // this thread on a full socket buffer.
         let _ = stream.set_read_timeout(Some(READ_POLL));
         let _ = stream.set_write_timeout(Some(Duration::from_secs_f64(self.wire.write_secs)));
+        let _ = stream.set_nodelay(true);
         let mut writer = match stream.try_clone() {
             Ok(w) => w,
             Err(_) => return,
@@ -1228,41 +1229,33 @@ impl Daemon {
                 | FrameOutcome::Idle
                 | FrameOutcome::Shutdown => return,
                 FrameOutcome::Oversized => {
-                    let _ = writeln!(
-                        writer,
-                        "{}",
-                        error_reply(&format!(
+                    let _ = write_frame(
+                        &mut writer,
+                        &error_reply(&format!(
                             "request line exceeds the {}-byte frame limit",
                             self.wire.max_frame_bytes
-                        ))
-                        .to_json()
+                        )),
                     );
                     return;
                 }
                 FrameOutcome::Stalled => {
-                    let _ = writeln!(
-                        writer,
-                        "{}",
-                        error_reply(&format!(
+                    let _ = write_frame(
+                        &mut writer,
+                        &error_reply(&format!(
                             "request frame not completed within {}s",
                             self.wire.frame_secs
-                        ))
-                        .to_json()
+                        )),
                     );
                     return;
                 }
             };
             let Ok(line) = std::str::from_utf8(&frame) else {
-                let _ = writeln!(
-                    writer,
-                    "{}",
-                    error_reply("request line is not valid UTF-8").to_json()
-                );
+                let _ = write_frame(&mut writer, &error_reply("request line is not valid UTF-8"));
                 return;
             };
             match self.dispatch(line.trim()) {
                 Reply::Line(json) => {
-                    if writeln!(writer, "{}", json.to_json()).is_err() {
+                    if write_frame(&mut writer, &json).is_err() {
                         return;
                     }
                 }
@@ -1717,6 +1710,16 @@ fn error_reply(message: &str) -> Json {
     ])
 }
 
+/// Sends one NDJSON frame: the value and its `\n` leave in a single
+/// write. Every socket that carries frames is `TCP_NODELAY`, so that write
+/// goes out at once; see DESIGN.md ("Multi-tenant serving") for why both
+/// halves are needed.
+fn write_frame(stream: &mut TcpStream, value: &Json) -> std::io::Result<()> {
+    let mut frame = value.to_json();
+    frame.push('\n');
+    stream.write_all(frame.as_bytes())
+}
+
 /// Client-side helper: sends one request line on `stream` and parses the
 /// single-line reply. Used by the CLI's self-check, the chaos soak drill,
 /// and the e2e tests; exported so external clients don't re-implement the
@@ -1726,7 +1729,8 @@ pub fn roundtrip(
     reader: &mut BufReader<TcpStream>,
     request: &Json,
 ) -> Result<Json, String> {
-    writeln!(stream, "{}", request.to_json()).map_err(|e| format!("send failed: {e}"))?;
+    let _ = stream.set_nodelay(true);
+    write_frame(stream, request).map_err(|e| format!("send failed: {e}"))?;
     let mut line = String::new();
     loop {
         match reader.read_line(&mut line) {

@@ -41,8 +41,10 @@ echo "== overload protection: storm drill + hostile-wire suite =="
 # 1s deadline trips into deterministic partials, and a mid-storm drain
 # checkpoints in-flight jobs that then resume bit-identically at
 # workers 1/2/4 with exactly-once billing. The wire suite replays an
-# oversized frame, binary garbage, a torn frame, a slow loris, and a
-# silent client — each costs only its own connection.
+# oversized frame, binary garbage, a torn frame, a slow loris, a silent
+# client, and a 200k-deep `[[[…` frame (the JSON nesting cap) — each
+# costs only its own connection — and checks that replies never stall on
+# a client's delayed ACK (closed-loop and pipelined ping medians < 20 ms).
 cargo run --release -q -p dprep-cli --bin dprep -- chaos --overload on > /dev/null
 cargo test -q --test wire_hardening
 
