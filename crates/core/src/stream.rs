@@ -13,8 +13,11 @@
 //! **render pass**:
 //!
 //! 1. **Survey** ([`PlanStream::new`]): walk every batch in plan order,
-//!    render its request, fingerprint it for dedup, then *drop the request
-//!    strings*. What survives is O(batches) indices and O(unique) `u64`s:
+//!    render only its batch body into one reused buffer, and key it for
+//!    dedup by hashing that body on top of a [`FingerprintPrefix`] — the
+//!    hash state after the plan's invariant system and few-shot messages,
+//!    computed once. No request is built and no token counted. What
+//!    survives is O(batches) indices and O(unique) `u64`s:
 //!    the batch→unique-request map, the unique fingerprint list (hence the
 //!    global plan fingerprint, known **before** any dispatch — the journal
 //!    header and resume check are byte-identical to the materialized path),
@@ -27,15 +30,17 @@
 //!
 //! Deduplication order, fingerprints, sections, and batch membership are
 //! bit-identical to `ExecutionPlan::build` because both walk the same
-//! `make_batches` output in the same order with the same dedup key. The
-//! price of bounded memory is one extra render per *unique* request (once
-//! surveyed, once sharded); planning is a small fraction of run wall time,
-//! and the rendering itself reuses one scratch buffer of instance refs per
-//! stream.
+//! `make_batches` output in the same order with the same dedup key (the
+//! prefix-plus-body hash *is* `request_fingerprint` of the built request,
+//! byte for byte; a `debug_assert` checks it per batch). The price of
+//! bounded memory is one extra body render per *unique* request (once
+//! surveyed, once sharded); the survey renders bodies only, never the
+//! shared system or few-shot text, and reuses one body buffer and one
+//! scratch buffer of instance refs per stream.
 
 use std::collections::HashMap;
 
-use dprep_llm::{request_fingerprint, ChatModel, ChatRequest};
+use dprep_llm::{request_fingerprint, ChatModel, ChatRequest, FingerprintPrefix};
 use dprep_prompt::{make_batches, FewShotExample, PromptConfig, PromptContext, TaskInstance};
 
 use crate::config::PipelineConfig;
@@ -130,20 +135,31 @@ impl<'a> PlanStream<'a> {
         let mut instances_per: Vec<usize> = Vec::new();
         let mut seen: HashMap<u64, usize> = HashMap::new();
         let mut scratch_refs: Vec<&'a TaskInstance> = Vec::new();
+        // Same dedup key as the materialized planner (and the cache layer):
+        // everything that determines a deterministic model's response. The
+        // leading messages are hashed once here; per batch only the body is
+        // rendered (into one reused buffer) and hashed on top of them.
+        let prefix = FingerprintPrefix::new(model, config.temperature, context.leading_messages());
+        let mut body = String::new();
         for (batch_idx, batch) in batches.iter().enumerate() {
             scratch_refs.clear();
             scratch_refs.extend(batch.iter().map(|&i| &instances[i]));
             let build_started = std::time::Instant::now();
-            let (mut request, _sections) = context.build(&scratch_refs);
+            body.clear();
+            context.render_body(&scratch_refs, &mut body);
             prompt_build_wall_secs += build_started.elapsed().as_secs_f64();
-            if let Some(t) = config.temperature {
-                request = request.with_temperature(t);
-            }
-            // Same dedup key as the materialized planner (and the cache
-            // layer): everything that determines a deterministic model's
-            // response. The rendered request dies here — only the key and
-            // the bookkeeping survive the survey.
-            let key = request_fingerprint(model, &request);
+            let key = prefix.finish_with_user(&body);
+            debug_assert_eq!(
+                key,
+                {
+                    let (mut request, _) = context.build(&scratch_refs);
+                    if let Some(t) = config.temperature {
+                        request = request.with_temperature(t);
+                    }
+                    request_fingerprint(model, &request)
+                },
+                "survey key diverged from the built request's fingerprint"
+            );
             let request_index = *seen.entry(key).or_insert_with(|| {
                 fingerprints.push(key);
                 last_batch_of.push(batch_idx);

@@ -1,5 +1,7 @@
 //! The chat-completion API surface.
 
+use dprep_rng::StableHasher;
+
 use crate::usage::Usage;
 
 /// Role of a chat message.
@@ -11,6 +13,18 @@ pub enum Role {
     User,
     /// Model turns (few-shot answers, generated completions).
     Assistant,
+}
+
+impl Role {
+    /// The tag that prefixes the role's messages in
+    /// [`ChatRequest::full_text`].
+    pub fn tag(self) -> &'static str {
+        match self {
+            Role::System => "system",
+            Role::User => "user",
+            Role::Assistant => "assistant",
+        }
+    }
 }
 
 /// One chat message.
@@ -129,18 +143,30 @@ impl ChatRequest {
     pub fn full_text(&self) -> String {
         let mut out = String::new();
         for m in &self.messages {
-            let tag = match m.role {
-                Role::System => "system",
-                Role::User => "user",
-                Role::Assistant => "assistant",
-            };
-            out.push_str(tag);
+            out.push_str(m.role.tag());
             out.push_str(": ");
             out.push_str(&m.content);
             out.push('\n');
         }
         out
     }
+
+    /// Feeds exactly the bytes of [`full_text`](Self::full_text) into
+    /// `hasher`, without building the string.
+    pub(crate) fn hash_full_text(&self, hasher: &mut StableHasher) {
+        for m in &self.messages {
+            hash_full_text_line(hasher, m.role, &m.content);
+        }
+    }
+}
+
+/// Feeds one message's [`ChatRequest::full_text`] line,
+/// `"{tag}: {content}\n"`, into `hasher`.
+pub(crate) fn hash_full_text_line(hasher: &mut StableHasher, role: Role, content: &str) {
+    hasher.write(role.tag().as_bytes());
+    hasher.write(b": ");
+    hasher.write(content.as_bytes());
+    hasher.write(b"\n");
 }
 
 /// The way a request failed at the transport/serving layer (injected by the

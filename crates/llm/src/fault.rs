@@ -19,7 +19,7 @@ use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 
 use dprep_obs::{NullTracer, TraceEvent, Tracer};
-use dprep_rng::stable_hash;
+use dprep_rng::StableHasher;
 
 use crate::chat::{ChatModel, ChatRequest, ChatResponse, FaultKind};
 use crate::middleware::MiddlewareStats;
@@ -99,13 +99,15 @@ impl FaultRule {
     ///
     /// The decision is a pure function of the seed, the rule tag, the
     /// prompt text, and — only for non-persistent rules — the retry salt.
-    fn fire(&self, seed: u64, request: &ChatRequest, full_text: &str) -> Option<u64> {
+    fn fire(&self, seed: u64, request: &ChatRequest) -> Option<u64> {
         let effective_salt = if self.persist_attempts > 0 {
             0
         } else {
             request.retry_salt
         };
-        let h = stable_hash(seed ^ self.tag ^ effective_salt, full_text.as_bytes());
+        let mut hasher = StableHasher::new(seed ^ self.tag ^ effective_salt);
+        request.hash_full_text(&mut hasher);
+        let h = hasher.finish();
         let roll = (h >> 11) as f64 / (1u64 << 53) as f64;
         if roll >= self.rate.clamp(0.0, 1.0) {
             return None;
@@ -130,15 +132,10 @@ pub struct FaultScenario {
 
 impl FaultScenario {
     /// The first rule that fires for this request, with its decision hash.
-    pub(crate) fn decide(
-        &self,
-        seed: u64,
-        request: &ChatRequest,
-        full_text: &str,
-    ) -> Option<(&FaultRule, u64)> {
+    pub(crate) fn decide(&self, seed: u64, request: &ChatRequest) -> Option<(&FaultRule, u64)> {
         self.rules
             .iter()
-            .find_map(|rule| rule.fire(seed, request, full_text).map(|h| (rule, h)))
+            .find_map(|rule| rule.fire(seed, request).map(|h| (rule, h)))
     }
 
     /// A calm network: no rules, no faults.
@@ -575,6 +572,32 @@ mod tests {
         assert!(FaultScenario::calm().rules.is_empty());
     }
 
+    /// The decision hash streams the request's messages; it must equal the
+    /// hash of the materialized full text, or seeded chaos schedules (and
+    /// the drills pinned on them) would shift.
+    #[test]
+    fn decision_hash_is_the_full_text_hash() {
+        let scenario = FaultScenario::burst_outage();
+        let rule = &scenario.rules[0];
+        let mut fired = 0;
+        for i in 0..200 {
+            let r = req(&format!("case {i} caf\u{e9}")).with_retry_salt(i % 5);
+            let salt = if rule.persist_attempts > 0 {
+                0
+            } else {
+                r.retry_salt
+            };
+            let h = dprep_rng::stable_hash(9 ^ rule.tag ^ salt, r.full_text().as_bytes());
+            let roll = (h >> 11) as f64 / (1u64 << 53) as f64;
+            let expected = (roll < rule.rate
+                && (rule.persist_attempts == 0 || r.retry_salt < u64::from(rule.persist_attempts)))
+            .then_some(h);
+            assert_eq!(rule.fire(9, &r), expected);
+            fired += usize::from(expected.is_some());
+        }
+        assert!(fired > 0);
+    }
+
     #[test]
     fn persistent_rules_clear_after_the_configured_attempts() {
         let scenario = FaultScenario::burst_outage();
@@ -582,18 +605,18 @@ mod tests {
         // Find a request the outage hits at salt 0.
         let hit = (0..200)
             .map(|i| req(&format!("case {i}")))
-            .find(|r| rule.fire(9, r, &r.full_text()).is_some())
+            .find(|r| rule.fire(9, r).is_some())
             .expect("a 30% rule hits within 200 requests");
         // Persistent: same decision for every salt below the horizon...
         for salt in 0..u64::from(rule.persist_attempts) {
             let salted = hit.clone().with_retry_salt(salt);
-            assert!(rule.fire(9, &salted, &salted.full_text()).is_some());
+            assert!(rule.fire(9, &salted).is_some());
         }
         // ...and clear once the request has been retried past it.
         let cleared = hit
             .clone()
             .with_retry_salt(u64::from(rule.persist_attempts));
-        assert!(rule.fire(9, &cleared, &cleared.full_text()).is_none());
+        assert!(rule.fire(9, &cleared).is_none());
     }
 
     #[test]
@@ -685,9 +708,7 @@ mod tests {
         for i in 0..32 {
             for salt in [0u64, 1, 5, 100] {
                 let r = req(&format!("case {i}")).with_retry_salt(salt);
-                let (rule, _) = scenario
-                    .decide(9, &r, &r.full_text())
-                    .expect("always fires");
+                let (rule, _) = scenario.decide(9, &r).expect("always fires");
                 assert_eq!(rule.effect, FaultEffect::Timeout);
             }
         }

@@ -71,7 +71,7 @@ pub use fault::{BreakerConfig, CircuitBreakerLayer, FaultEffect, FaultRule, Faul
 pub use knowledge::{Fact, KnowledgeBase};
 pub use middleware::{
     is_complete, request_fingerprint, warm_cache_store, CacheLayer, CacheStore, FaultLayer,
-    MiddlewareStats, RetryLayer, StatsSnapshot,
+    FingerprintPrefix, MiddlewareStats, RetryLayer, StatsSnapshot,
 };
 pub use model::SimulatedLlm;
 pub use profile::{LatencyModel, ModelProfile, Pricing, TaskSkills};

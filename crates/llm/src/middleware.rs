@@ -26,14 +26,17 @@
 //! stack was assembled.
 
 use std::collections::HashMap;
+use std::fmt::Write;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use dprep_obs::{JournalEntry, NullTracer, TerminalKind, TraceEvent, Tracer};
-use dprep_rng::stable_hash;
+use dprep_rng::StableHasher;
 use dprep_text::count_tokens;
 
-use crate::chat::{ChatModel, ChatRequest, ChatResponse, FaultKind};
+use crate::chat::{
+    hash_full_text_line, ChatModel, ChatRequest, ChatResponse, FaultKind, Message, Role,
+};
 use crate::fault::{FaultEffect, FaultScenario};
 use crate::usage::Usage;
 
@@ -145,13 +148,59 @@ pub fn is_complete(request: &ChatRequest, response: &ChatResponse) -> bool {
 /// excluded: it never affects the model's output.
 pub fn request_fingerprint<M: ChatModel + ?Sized>(model: &M, request: &ChatRequest) -> u64 {
     let temperature = request.temperature_or(model.default_temperature());
-    let descriptor = format!(
-        "{}|{temperature}|{}|{}",
-        model.name(),
-        request.retry_salt,
-        request.full_text()
-    );
-    stable_hash(0x00ca_c4e0, descriptor.as_bytes())
+    let mut hasher = fingerprint_header(model.name(), temperature, request.retry_salt);
+    request.hash_full_text(&mut hasher);
+    hasher.finish()
+}
+
+/// Seed of the [`request_fingerprint`] hash.
+const FINGERPRINT_SEED: u64 = 0x00ca_c4e0;
+
+/// The fingerprint hasher after its `"{model}|{temperature}|{salt}|"`
+/// header; the request's full text follows.
+fn fingerprint_header(model: &str, temperature: f64, retry_salt: u64) -> StableHasher {
+    let mut hasher = StableHasher::new(FINGERPRINT_SEED);
+    let _ = write!(hasher, "{model}|{temperature}|{retry_salt}|");
+    hasher
+}
+
+/// The [`request_fingerprint`] state after a plan's invariant leading
+/// messages (system prompt, few-shot turns), for unsalted requests whose
+/// only other message is a final user turn.
+///
+/// A planner that knows each request's batch body can key it with
+/// [`finish_with_user`](Self::finish_with_user) — hashing only the body —
+/// instead of building the request and hashing all of it. The result is
+/// exactly `request_fingerprint(model, &request)` for the request made of
+/// the leading messages plus `Message::user(body)` at `temperature`.
+#[derive(Debug, Clone, Copy)]
+pub struct FingerprintPrefix {
+    hasher: StableHasher,
+}
+
+impl FingerprintPrefix {
+    /// Hashes the header and `leading` messages once. `temperature` is the
+    /// request's own setting; `None` resolves to the model's default, as
+    /// [`request_fingerprint`] does.
+    pub fn new<M: ChatModel + ?Sized>(
+        model: &M,
+        temperature: Option<f64>,
+        leading: &[Message],
+    ) -> Self {
+        let temperature = temperature.unwrap_or_else(|| model.default_temperature());
+        let mut hasher = fingerprint_header(model.name(), temperature, 0);
+        for m in leading {
+            hash_full_text_line(&mut hasher, m.role, &m.content);
+        }
+        FingerprintPrefix { hasher }
+    }
+
+    /// The fingerprint of the request that ends in the user turn `body`.
+    pub fn finish_with_user(&self, body: &str) -> u64 {
+        let mut hasher = self.hasher;
+        hash_full_text_line(&mut hasher, Role::User, body);
+        hasher.finish()
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -554,10 +603,16 @@ impl<M: ChatModel> ChatModel for FaultLayer<M> {
     }
 
     fn chat(&self, request: &ChatRequest) -> ChatResponse {
-        let full_text = request.full_text();
         match &self.mode {
             FaultMode::Uniform { rate } => {
-                let h = stable_hash(self.seed ^ request.retry_salt, full_text.as_bytes());
+                // The roll lies in [0, 1), so a zero rate never fires:
+                // skip hashing the prompt altogether.
+                if *rate <= 0.0 {
+                    return self.inner.chat(request);
+                }
+                let mut hasher = StableHasher::new(self.seed ^ request.retry_salt);
+                request.hash_full_text(&mut hasher);
+                let h = hasher.finish();
                 let roll = (h >> 11) as f64 / (1u64 << 53) as f64;
                 if roll >= *rate {
                     return self.inner.chat(request);
@@ -573,13 +628,13 @@ impl<M: ChatModel> ChatModel for FaultLayer<M> {
                     kind: kind.label(),
                 });
                 if h & 1 == 0 {
-                    self.timeout_response(request, &full_text)
+                    self.timeout_response(request)
                 } else {
                     self.truncate_response(request)
                 }
             }
             FaultMode::Scenario(scenario) => {
-                let Some((rule, h)) = scenario.decide(self.seed, request, &full_text) else {
+                let Some((rule, h)) = scenario.decide(self.seed, request) else {
                     return self.inner.chat(request);
                 };
                 self.stats.faults_injected.fetch_add(1, Ordering::Relaxed);
@@ -587,7 +642,7 @@ impl<M: ChatModel> ChatModel for FaultLayer<M> {
                     request: request.trace_id,
                     kind: rule.effect.label(),
                 });
-                self.apply_effect(rule.effect, h, request, &full_text)
+                self.apply_effect(rule.effect, h, request)
             }
         }
     }
@@ -596,13 +651,13 @@ impl<M: ChatModel> ChatModel for FaultLayer<M> {
 impl<M: ChatModel> FaultLayer<M> {
     /// Timeout: the prompt was transmitted (and billed) but nothing came
     /// back before the deadline.
-    fn timeout_response(&self, request: &ChatRequest, full_text: &str) -> ChatResponse {
+    fn timeout_response(&self, request: &ChatRequest) -> ChatResponse {
         let mut response = ChatResponse::new(
             String::new(),
             Usage {
                 prompt_tokens: request
                     .prompt_tokens_hint
-                    .unwrap_or_else(|| count_tokens(full_text)),
+                    .unwrap_or_else(|| count_tokens(&request.full_text())),
                 completion_tokens: 0,
             },
             TIMEOUT_LATENCY_SECS,
@@ -625,15 +680,9 @@ impl<M: ChatModel> FaultLayer<M> {
         response
     }
 
-    fn apply_effect(
-        &self,
-        effect: FaultEffect,
-        h: u64,
-        request: &ChatRequest,
-        full_text: &str,
-    ) -> ChatResponse {
+    fn apply_effect(&self, effect: FaultEffect, h: u64, request: &ChatRequest) -> ChatResponse {
         match effect {
-            FaultEffect::Timeout => self.timeout_response(request, full_text),
+            FaultEffect::Timeout => self.timeout_response(request),
             FaultEffect::Truncate => self.truncate_response(request),
             FaultEffect::Transient => {
                 // Connection reset before anything was transmitted: nothing
@@ -910,6 +959,55 @@ mod tests {
         let resp = second.chat(&batch_request(2));
         assert!(resp.meta.cache_hit);
         assert_eq!(model.calls(), 1);
+    }
+
+    #[test]
+    fn fingerprint_prefix_matches_the_whole_request() {
+        let model = Scripted::always_complete();
+        let leading = [
+            Message::system("Answer every question."),
+            Message::user("Question 1: an example?\n"),
+            Message::assistant("Answer 1: yes\n"),
+        ];
+        for temperature in [None, Some(0.2), Some(1.0)] {
+            for k in 0..3 {
+                let leading = &leading[..k];
+                let prefix = FingerprintPrefix::new(&model, temperature, leading);
+                for body in [
+                    "",
+                    "Question 1: caf\u{e9}?\n",
+                    "Question 1: a\nQuestion 2: b\n",
+                ] {
+                    let mut messages = leading.to_vec();
+                    messages.push(Message::user(body));
+                    let mut request = ChatRequest::new(messages);
+                    request.temperature = temperature;
+                    let want = dprep_rng::stable_hash(
+                        FINGERPRINT_SEED,
+                        format!(
+                            "scripted|{}|0|{}",
+                            request.temperature_or(model.default_temperature()),
+                            request.full_text()
+                        )
+                        .as_bytes(),
+                    );
+                    assert_eq!(request_fingerprint(&model, &request), want);
+                    assert_eq!(prefix.finish_with_user(body), want);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn zero_rate_fault_layer_is_a_pass_through() {
+        let model = Scripted::always_complete();
+        let layer = FaultLayer::new(&model, 0.0, 42);
+        for i in 0..200 {
+            let mut req = batch_request(2).with_retry_salt(i % 3);
+            req.messages[1].content.push_str(&format!("variant {i}\n"));
+            assert_eq!(layer.chat(&req), model.chat(&req));
+        }
+        assert_eq!(layer.stats().faults_injected, 0);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 
 use std::sync::Mutex;
 
-use crate::chat::{ChatModel, ChatRequest, ChatResponse, Role};
+use crate::chat::{ChatModel, ChatRequest, ChatResponse};
 use crate::json::{Json, JsonError};
 use crate::usage::Usage;
 
@@ -170,14 +170,7 @@ impl TranscriptRecorder {
             messages: request
                 .messages
                 .iter()
-                .map(|m| {
-                    let role = match m.role {
-                        Role::System => "system",
-                        Role::User => "user",
-                        Role::Assistant => "assistant",
-                    };
-                    (role.to_string(), m.content.clone())
-                })
+                .map(|m| (m.role.tag().to_string(), m.content.clone()))
                 .collect(),
             temperature,
             completion: response.text.clone(),

@@ -1,5 +1,6 @@
 //! Assembles complete chat requests from the framework's components.
 
+use std::fmt::Write;
 use std::sync::Arc;
 
 use dprep_llm::{ChatRequest, Message};
@@ -137,32 +138,24 @@ fn message_tokens(tag: &str, content: &str) -> usize {
 /// configuration and the example set — never on the batch — yet a naive
 /// builder re-renders and re-tokenizes them for every request. A plan
 /// builds one `PromptContext` up front and stacks each batch's questions
-/// under the shared (`Arc`-held) sections; the context also accumulates
-/// the exact full-text token count as it goes, so the built request
-/// carries [`ChatRequest::prompt_tokens_hint`] and the serving model
-/// never tokenizes the prompt a second time.
+/// under the shared (`Arc`-held) leading messages; the context also
+/// accumulates the exact full-text token count as it goes, so the built
+/// request carries [`ChatRequest::prompt_tokens_hint`] and the serving
+/// model never tokenizes the prompt a second time.
 #[derive(Debug, Clone)]
 pub struct PromptContext {
     config: PromptConfig,
-    system: Arc<str>,
+    /// The system message, then the few-shot user/assistant pair if any.
+    leading: Arc<[Message]>,
     /// Section counts of the system message (task-spec, answer-format, cot).
     task_spec: usize,
     answer_format: usize,
     cot: usize,
-    /// Full-text token contribution of the system message.
-    system_message_tokens: usize,
-    few_shot: Option<FewShotContext>,
-}
-
-/// The rendered few-shot user/assistant pair and its token counts.
-#[derive(Debug, Clone)]
-struct FewShotContext {
-    user: Arc<str>,
-    assistant: Arc<str>,
     /// The few-shot attribution section: content tokens of both turns.
-    section_tokens: usize,
-    /// Full-text token contribution of both messages (role tags included).
-    message_tokens: usize,
+    few_shot: usize,
+    /// Full-text token contribution of the leading messages (role tags
+    /// included).
+    leading_message_tokens: usize,
 }
 
 impl PromptContext {
@@ -174,27 +167,59 @@ impl PromptContext {
             type_hint: config.type_hint.clone(),
         };
         let system = system_sections(config.task, &options);
-        let system_message_tokens = message_tokens("system", &system.text);
-        let few_shot = render_examples(
+        let mut leading_message_tokens = message_tokens("system", &system.text);
+        let mut leading = vec![Message::system(system.text)];
+        let mut few_shot = 0;
+        if let Some((user, assistant)) = render_examples(
             examples,
             config.reasoning,
             config.feature_indices.as_deref(),
-        )
-        .map(|(user, assistant)| FewShotContext {
-            section_tokens: count_tokens(&user.content) + count_tokens(&assistant.content),
-            message_tokens: message_tokens("user", &user.content)
-                + message_tokens("assistant", &assistant.content),
-            user: user.content.into(),
-            assistant: assistant.content.into(),
-        });
+        ) {
+            few_shot = count_tokens(&user.content) + count_tokens(&assistant.content);
+            leading_message_tokens += message_tokens("user", &user.content)
+                + message_tokens("assistant", &assistant.content);
+            leading.push(Message::user(user.content));
+            leading.push(Message::assistant(assistant.content));
+        }
         PromptContext {
             config: config.clone(),
-            system: system.text.into(),
+            leading: leading.into(),
             task_spec: system.task_spec_tokens,
             answer_format: system.answer_format_tokens,
             cot: system.cot_tokens,
-            system_message_tokens,
             few_shot,
+            leading_message_tokens,
+        }
+    }
+
+    /// The messages every request of the plan starts with: the system
+    /// message, then the few-shot pair when examples are in use. A
+    /// request's only other message is the user turn holding its batch
+    /// body.
+    pub fn leading_messages(&self) -> &[Message] {
+        &self.leading
+    }
+
+    /// Appends the batch body — `Question N: …` lines, one per instance —
+    /// to `out`. This is the one body renderer: [`build`](Self::build)
+    /// wraps its output in the final user message, and a planner that only
+    /// needs the request's identity can hash it without building the
+    /// request.
+    ///
+    /// # Panics
+    /// Panics when `batch` is empty or an instance's task differs from the
+    /// context's configuration.
+    pub fn render_body(&self, batch: &[&TaskInstance], out: &mut String) {
+        assert!(!batch.is_empty(), "cannot build a prompt with no instances");
+        assert!(
+            batch.iter().all(|i| i.task() == self.config.task),
+            "instance task does not match the prompt configuration"
+        );
+        let feature_indices = self.config.feature_indices.as_deref();
+        for (i, instance) in batch.iter().enumerate() {
+            let _ = write!(out, "Question {}: ", i + 1);
+            instance.write_question(out, feature_indices);
+            out.push('\n');
         }
     }
 
@@ -206,43 +231,20 @@ impl PromptContext {
     /// Panics when `batch` is empty or an instance's task differs from the
     /// context's configuration.
     pub fn build(&self, batch: &[&TaskInstance]) -> (ChatRequest, PromptSections) {
-        assert!(!batch.is_empty(), "cannot build a prompt with no instances");
-        assert!(
-            batch.iter().all(|i| i.task() == self.config.task),
-            "instance task does not match the prompt configuration"
-        );
-        let mut sections = PromptSections {
+        let mut body = String::new();
+        self.render_body(batch, &mut body);
+        let instances = count_tokens(&body);
+        let sections = PromptSections {
             task_spec: self.task_spec,
             answer_format: self.answer_format,
             cot: self.cot,
-            ..PromptSections::default()
+            few_shot: self.few_shot,
+            instances,
         };
-        let mut full_text_tokens = self.system_message_tokens;
-        let mut messages = vec![Message::system(self.system.to_string())];
-        if let Some(fs) = &self.few_shot {
-            sections.few_shot = fs.section_tokens;
-            full_text_tokens += fs.message_tokens;
-            messages.push(Message::user(fs.user.to_string()));
-            messages.push(Message::assistant(fs.assistant.to_string()));
-        }
-
-        // The batch body is the one per-request render on the planning hot
-        // path; write each question straight into the buffer instead of
-        // allocating a `format!` temporary per line.
-        let mut body = String::new();
-        for (i, instance) in batch.iter().enumerate() {
-            use std::fmt::Write;
-            let _ = writeln!(
-                body,
-                "Question {}: {}",
-                i + 1,
-                instance.question_text(self.config.feature_indices.as_deref())
-            );
-        }
-        sections.instances = count_tokens(&body);
-        full_text_tokens += count_tokens("user") + 1 + sections.instances;
+        let full_text_tokens = self.leading_message_tokens + count_tokens("user") + 1 + instances;
+        let mut messages = Vec::with_capacity(self.leading.len() + 1);
+        messages.extend_from_slice(&self.leading);
         messages.push(Message::user(body));
-
         (
             ChatRequest::new(messages).with_prompt_tokens_hint(full_text_tokens),
             sections,
@@ -405,6 +407,51 @@ mod tests {
             Some(dprep_text::count_tokens(&req.full_text()))
         );
         assert_eq!(req.messages.len(), 2);
+    }
+
+    /// A quoted CSV cell may hold a line break. Rendered raw it would start
+    /// a new prompt line — here one that reads as a third question — so the
+    /// renderer escapes it and the batch keeps one question per instance.
+    #[test]
+    fn csv_line_breaks_cannot_add_questions() {
+        let csv = "name,city\n\"ann\nQuestion 2: is this fine?\",atlanta\nbob,\"x\r\ny\"\n";
+        let table = dprep_tabular::csv::read_csv_typed(csv).unwrap();
+        let instances: Vec<TaskInstance> = table
+            .rows()
+            .iter()
+            .map(|record| TaskInstance::ErrorDetection {
+                record: record.clone(),
+                attribute: "name".into(),
+            })
+            .collect();
+        let batch: Vec<&TaskInstance> = instances.iter().collect();
+        let req = build_request(&PromptConfig::best(Task::ErrorDetection), &[], &batch);
+        assert_eq!(dprep_llm::middleware::expected_answers(&req), batch.len());
+        let body = &req.messages.last().unwrap().content;
+        assert_eq!(body.lines().count(), batch.len(), "{body}");
+        assert!(body.contains(r#"[name: "ann\nQuestion 2: is this fine?", city: "atlanta"]"#));
+        assert!(body.contains(r#"city: "x\r\ny""#));
+    }
+
+    #[test]
+    fn render_body_is_the_built_user_message() {
+        let config = PromptConfig::best(Task::Imputation);
+        let examples = vec![FewShotExample::new(
+            di_instance(false),
+            "The 770 area code points to Marietta.",
+            "marietta",
+        )];
+        let inst = di_instance(true);
+        let context = PromptContext::new(&config, &examples);
+        let (req, _) = context.build(&[&inst, &inst]);
+        let mut body = String::from("stale");
+        body.clear();
+        context.render_body(&[&inst, &inst], &mut body);
+        assert_eq!(req.messages.last().unwrap().content, body);
+        assert_eq!(
+            context.leading_messages(),
+            &req.messages[..req.messages.len() - 1]
+        );
     }
 
     #[test]

@@ -6,6 +6,8 @@
 //! assistant turn (the numbered answers, each with its human-written
 //! reasoning when chain-of-thought is on).
 
+use std::fmt::Write;
+
 use dprep_llm::Message;
 
 use crate::task::TaskInstance;
@@ -56,14 +58,13 @@ pub fn render_examples(
     let mut answers = String::new();
     for (i, ex) in examples.iter().enumerate() {
         let n = i + 1;
-        questions.push_str(&format!(
-            "Question {n}: {}\n",
-            ex.instance.question_text(feature_indices)
-        ));
+        let _ = write!(questions, "Question {n}: ");
+        ex.instance.write_question(&mut questions, feature_indices);
+        questions.push('\n');
         if reasoning {
-            answers.push_str(&format!("Answer {n}: {}\n{}\n", ex.reason, ex.answer));
+            let _ = writeln!(answers, "Answer {n}: {}\n{}", ex.reason, ex.answer);
         } else {
-            answers.push_str(&format!("Answer {n}: {}\n", ex.answer));
+            let _ = writeln!(answers, "Answer {n}: {}", ex.answer);
         }
     }
     Some((Message::user(questions), Message::assistant(answers)))

@@ -3,8 +3,10 @@
 //! The paper (§2.1) defines four tasks over relational data, each handling
 //! one record — or one pair — at a time so a prompt is easy to write.
 
-use dprep_tabular::context::{contextualize, contextualize_pairs, contextualize_selected};
-use dprep_tabular::{Record, Value};
+use dprep_tabular::context::{
+    contextualize_into, contextualize_selected_into, contextualize_text_into,
+};
+use dprep_tabular::Record;
 
 /// The four data-preprocessing tasks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -59,12 +61,13 @@ impl AttrSpec {
         }
     }
 
-    /// Contextualized form: `[name: "...", description: "..."]` (§3.3).
-    pub fn contextualize(&self) -> String {
-        contextualize_pairs([
-            ("name", Value::text(self.name.clone())),
-            ("description", Value::text(self.description.clone())),
-        ])
+    /// Appends the contextualized form, `[name: "...", description:
+    /// "..."]` (§3.3), to `out`.
+    pub fn contextualize_into(&self, out: &mut String) {
+        contextualize_text_into(
+            out,
+            &[("name", &self.name), ("description", &self.description)],
+        );
     }
 }
 
@@ -117,25 +120,43 @@ impl TaskInstance {
     /// `feature_indices` is given (§3.4). For ED/DI the target attribute is
     /// always kept even if not selected.
     pub fn question_text(&self, feature_indices: Option<&[usize]>) -> String {
+        let mut out = String::new();
+        self.write_question(&mut out, feature_indices);
+        out
+    }
+
+    /// Appends [`question_text`](Self::question_text) to `out` without
+    /// allocating: the prompt builder renders a whole batch into one buffer.
+    pub fn write_question(&self, out: &mut String, feature_indices: Option<&[usize]>) {
         match self {
             TaskInstance::ErrorDetection { record, attribute } => {
-                let ctx = render_record(record, feature_indices, Some(attribute));
-                format!("Record is {ctx}. Is there an error in the \"{attribute}\" attribute?")
+                out.push_str("Record is ");
+                write_record(out, record, feature_indices, Some(attribute));
+                out.push_str(". Is there an error in the \"");
+                out.push_str(attribute);
+                out.push_str("\" attribute?");
             }
             TaskInstance::Imputation { record, attribute } => {
-                let ctx = render_record(record, feature_indices, Some(attribute));
-                format!("Record is {ctx}. What is the value of the \"{attribute}\" attribute?")
+                out.push_str("Record is ");
+                write_record(out, record, feature_indices, Some(attribute));
+                out.push_str(". What is the value of the \"");
+                out.push_str(attribute);
+                out.push_str("\" attribute?");
             }
-            TaskInstance::SchemaMatching { a, b } => format!(
-                "Attribute A is {}. Attribute B is {}. Do they refer to the same attribute?",
-                a.contextualize(),
-                b.contextualize()
-            ),
-            TaskInstance::EntityMatching { a, b } => format!(
-                "Record A is {}. Record B is {}. Do they refer to the same entity?",
-                render_record(a, feature_indices, None),
-                render_record(b, feature_indices, None)
-            ),
+            TaskInstance::SchemaMatching { a, b } => {
+                out.push_str("Attribute A is ");
+                a.contextualize_into(out);
+                out.push_str(". Attribute B is ");
+                b.contextualize_into(out);
+                out.push_str(". Do they refer to the same attribute?");
+            }
+            TaskInstance::EntityMatching { a, b } => {
+                out.push_str("Record A is ");
+                write_record(out, a, feature_indices, None);
+                out.push_str(". Record B is ");
+                write_record(out, b, feature_indices, None);
+                out.push_str(". Do they refer to the same entity?");
+            }
         }
     }
 
@@ -168,32 +189,31 @@ fn flat_record(record: &Record) -> String {
     out
 }
 
-fn render_record(
+/// Appends a record's contextualization. Under feature selection only the
+/// selected attributes are kept, in selection order, followed by
+/// `keep_attribute` when it was not selected.
+fn write_record(
+    out: &mut String,
     record: &Record,
     feature_indices: Option<&[usize]>,
     keep_attribute: Option<&str>,
-) -> String {
-    match feature_indices {
-        None => contextualize(record),
-        Some(indices) => {
-            let mut indices = indices.to_vec();
-            if let Some(keep) = keep_attribute {
-                if let Some(target_idx) = record.schema().index_of(keep) {
-                    if !indices.contains(&target_idx) {
-                        indices.push(target_idx);
-                    }
-                }
-            }
-            indices.retain(|&i| i < record.schema().len());
-            contextualize_selected(record, &indices)
-        }
-    }
+) {
+    let Some(indices) = feature_indices else {
+        contextualize_into(out, record);
+        return;
+    };
+    let schema = record.schema();
+    let kept = keep_attribute
+        .and_then(|keep| schema.index_of(keep))
+        .filter(|target| !indices.contains(target));
+    // Indices outside the schema are skipped by the writer.
+    contextualize_selected_into(out, record, indices.iter().copied().chain(kept));
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dprep_tabular::Schema;
+    use dprep_tabular::{Schema, Value};
 
     fn restaurant() -> Record {
         let schema = Schema::all_text(&["name", "phone", "type", "city"])

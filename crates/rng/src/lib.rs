@@ -19,16 +19,55 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// FNV-1a hash of `bytes`, mixed with `seed`.
 pub fn stable_hash(seed: u64, bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET ^ seed;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
+    let mut hasher = StableHasher::new(seed);
+    hasher.write(bytes);
+    hasher.finish()
+}
+
+/// The streaming form of [`stable_hash`]: feeding the same bytes in any
+/// number of [`write`](Self::write) calls yields the same value as one
+/// `stable_hash` over their concatenation. It also implements
+/// [`std::fmt::Write`], so `write!(hasher, …)` hashes formatted text
+/// without building the string. `Clone` snapshots the state, letting a
+/// caller hash a shared prefix once and finish many suffixes from it.
+#[derive(Debug, Clone, Copy)]
+pub struct StableHasher {
+    state: u64,
+}
+
+impl StableHasher {
+    /// A hasher seeded like `stable_hash(seed, …)`.
+    pub fn new(seed: u64) -> Self {
+        StableHasher {
+            state: FNV_OFFSET ^ seed,
+        }
     }
-    // Final avalanche (splitmix64 finalizer) so similar strings diverge.
-    let mut z = h;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+
+    /// Feeds `bytes` into the FNV-1a state.
+    pub fn write(&mut self, bytes: &[u8]) {
+        let mut h = self.state;
+        for &b in bytes {
+            h ^= b as u64;
+            h = h.wrapping_mul(FNV_PRIME);
+        }
+        self.state = h;
+    }
+
+    /// The hash of everything written so far. Does not consume the state.
+    pub fn finish(&self) -> u64 {
+        // Final avalanche (splitmix64 finalizer) so similar strings diverge.
+        let mut z = self.state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+}
+
+impl std::fmt::Write for StableHasher {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.write(s.as_bytes());
+        Ok(())
+    }
 }
 
 /// splitmix64 step: expands a 64-bit seed into a stream of well-mixed words.
@@ -205,6 +244,52 @@ mod tests {
         assert_eq!(stable_hash(1, b"abc"), stable_hash(1, b"abc"));
         assert_ne!(stable_hash(1, b"abc"), stable_hash(1, b"abd"));
         assert_ne!(stable_hash(1, b"abc"), stable_hash(2, b"abc"));
+    }
+
+    /// Values pinned from the one-shot implementation: plan fingerprints,
+    /// journal entries and cache keys are all built on this hash, so a
+    /// change here breaks journal resume across versions.
+    #[test]
+    fn stable_hash_values_are_pinned() {
+        const PINNED: [(u64, &[u8], u64); 4] = [
+            (0, b"", 0xf52a_15e9_a9b5_e89b),
+            (0, b"abc", 0x0dd4_9049_0804_b508),
+            (0x00ca_c4e0, b"sim-gpt-4|0.65|0|", 0xc9f9_12f5_66d9_c930),
+            (7, "prompt \u{e9}\u{2603}".as_bytes(), 0x8038_f7d4_b557_321d),
+        ];
+        for (seed, bytes, want) in PINNED {
+            assert_eq!(
+                stable_hash(seed, bytes),
+                want,
+                "stable_hash({seed}, {bytes:?}) changed: journals and caches \
+                 written by earlier versions would no longer resume"
+            );
+        }
+    }
+
+    #[test]
+    fn streaming_hasher_matches_one_shot_at_every_split() {
+        use std::fmt::Write;
+        let mut rng = Rng::seed_from_u64(11);
+        for len in 0..64 {
+            let bytes: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+            let want = stable_hash(len as u64, &bytes);
+            for split in 0..=len {
+                let mut h = StableHasher::new(len as u64);
+                h.write(&bytes[..split]);
+                let snapshot = h;
+                h.write(&bytes[split..]);
+                assert_eq!(h.finish(), want);
+                // A cloned prefix state finishes independently.
+                let mut again = snapshot;
+                again.write(&bytes[split..]);
+                assert_eq!(again.finish(), want);
+            }
+        }
+        let mut h = StableHasher::new(3);
+        let (model, temperature, salt) = ("m", 0.75, 9u64);
+        write!(h, "{model}|{temperature}|{salt}").unwrap();
+        assert_eq!(h.finish(), stable_hash(3, b"m|0.75|9"));
     }
 
     #[test]

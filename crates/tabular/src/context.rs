@@ -7,7 +7,8 @@
 //! ```
 //!
 //! with `???` (unquoted) marking a missing cell. Inside quoted values, `"`
-//! and `\` are escaped with a backslash so the format round-trips.
+//! and `\` are escaped with a backslash, and a line break is written as
+//! `\n` / `\r`, so the format round-trips and a cell never spans lines.
 //!
 //! This module is deliberately symmetric: [`contextualize`] serializes a
 //! [`Record`], and [`parse_instance`] parses the text back into
@@ -54,53 +55,112 @@ impl ParsedInstance {
     }
 }
 
+/// Appends `raw` with the quoted-value escapes: `"` and `\` take a
+/// backslash, and line breaks become `\n` / `\r` so a cell can never
+/// split the line-oriented prompt around it. Unescaped runs are copied in
+/// one `push_str`.
 fn escape_into(out: &mut String, raw: &str) {
-    for c in raw.chars() {
-        match c {
-            '"' | '\\' => {
-                out.push('\\');
-                out.push(c);
-            }
-            _ => out.push(c),
+    let mut run_start = 0;
+    for (i, byte) in raw.bytes().enumerate() {
+        let escaped = match byte {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            _ => continue,
+        };
+        // All four bytes are ASCII, so `i` is always a char boundary.
+        out.push_str(&raw[run_start..i]);
+        out.push_str(escaped);
+        run_start = i + 1;
+    }
+    out.push_str(&raw[run_start..]);
+}
+
+/// Appends one text cell: the escaped text in quotes.
+fn write_text(out: &mut String, text: &str) {
+    out.push('"');
+    escape_into(out, text);
+    out.push('"');
+}
+
+/// Appends one cell: `???` when missing, otherwise the escaped value in
+/// quotes. Text is escaped in place; numbers and booleans are formatted
+/// straight into `out` (their `Display` form needs no escaping).
+fn write_value(out: &mut String, value: &Value) {
+    match value {
+        Value::Missing => out.push_str("???"),
+        Value::Text(text) => write_text(out, text),
+        other => {
+            use std::fmt::Write;
+            out.push('"');
+            let _ = write!(out, "{other}");
+            out.push('"');
         }
     }
 }
 
-/// Serializes a record to the `[name: "value", …]` contextualization format.
-pub fn contextualize(record: &Record) -> String {
-    contextualize_pairs(record.named_values().map(|(n, v)| (n, v.clone())))
-}
-
-/// Serializes only the attributes at `indices` — feature selection (§3.4).
-pub fn contextualize_selected(record: &Record, indices: &[usize]) -> String {
-    let schema = record.schema();
-    contextualize_pairs(indices.iter().filter_map(|&i| {
-        let name = schema.attribute(i)?.name.as_str();
-        let value = record.get(i)?.clone();
-        Some((name, value))
-    }))
-}
-
-/// Serializes arbitrary `(name, value)` pairs in the contextualization
-/// format. This is the single source of truth for the grammar.
-pub fn contextualize_pairs<'a>(pairs: impl IntoIterator<Item = (&'a str, Value)>) -> String {
-    let mut out = String::from("[");
-    for (i, (name, value)) in pairs.into_iter().enumerate() {
+/// Appends `(name, cell)` pairs in the contextualization format, each cell
+/// through `write_cell`. This is the single source of truth for the
+/// grammar.
+fn write_fields<'a, T>(
+    out: &mut String,
+    fields: impl IntoIterator<Item = (&'a str, T)>,
+    write_cell: impl Fn(&mut String, T),
+) {
+    out.push('[');
+    for (i, (name, cell)) in fields.into_iter().enumerate() {
         if i > 0 {
             out.push_str(", ");
         }
         out.push_str(name);
         out.push_str(": ");
-        if value.is_missing() {
-            out.push_str("???");
-        } else {
-            out.push('"');
-            escape_into(&mut out, &value.to_string());
-            out.push('"');
-        }
+        write_cell(out, cell);
     }
     out.push(']');
+}
+
+/// Serializes a record to the `[name: "value", …]` contextualization format.
+pub fn contextualize(record: &Record) -> String {
+    let mut out = String::new();
+    contextualize_into(&mut out, record);
     out
+}
+
+/// Appends the contextualization of `record` to `out`.
+pub fn contextualize_into(out: &mut String, record: &Record) {
+    write_fields(out, record.named_values(), write_value);
+}
+
+/// Serializes only the attributes at `indices` — feature selection (§3.4).
+pub fn contextualize_selected(record: &Record, indices: &[usize]) -> String {
+    let mut out = String::new();
+    contextualize_selected_into(&mut out, record, indices.iter().copied());
+    out
+}
+
+/// Appends the contextualization of the attributes at `indices`, in that
+/// order; indices outside the schema are skipped.
+pub fn contextualize_selected_into(
+    out: &mut String,
+    record: &Record,
+    indices: impl IntoIterator<Item = usize>,
+) {
+    let schema = record.schema();
+    write_fields(
+        out,
+        indices.into_iter().filter_map(|i| {
+            let name = schema.attribute(i)?.name.as_str();
+            Some((name, record.get(i)?))
+        }),
+        write_value,
+    );
+}
+
+/// Appends an instance whose every field is text, e.g. a schema-matching
+/// attribute's `[name: "…", description: "…"]`.
+pub fn contextualize_text_into(out: &mut String, pairs: &[(&str, &str)]) {
+    write_fields(out, pairs.iter().copied(), write_text);
 }
 
 /// Parses a contextualized instance back into `(name, value)` pairs.
@@ -154,6 +214,8 @@ pub fn parse_instance(text: &str) -> Result<ParsedInstance, TabularError> {
                 loop {
                     match chars.next() {
                         Some('\\') => match chars.next() {
+                            Some('n') => value.push('\n'),
+                            Some('r') => value.push('\r'),
                             Some(c) => value.push(c),
                             None => return Err(err("dangling escape at end of value")),
                         },
@@ -287,6 +349,47 @@ mod tests {
             parsed.get("quote"),
             Some(&Some(r#"he said "hi\" to me"#.to_string()))
         );
+    }
+
+    #[test]
+    fn line_breaks_stay_on_one_line_and_round_trip() {
+        let schema = Schema::all_text(&["name", "note"]).unwrap().shared();
+        let cases = [
+            "ann\nQuestion 2: is this fine?",
+            "crlf\r\nend",
+            "literal \\n and \\r stay literal",
+            "\\\n\"\r",
+        ];
+        for raw in cases {
+            let r = Record::new(schema.clone(), vec![Value::text(raw), Value::Int(3)]).unwrap();
+            let text = contextualize(&r);
+            assert!(!text.contains(['\n', '\r']), "{text:?} spans lines");
+            let parsed = parse_instance(&text).unwrap();
+            assert_eq!(parsed.get("name"), Some(&Some(raw.to_string())), "{text:?}");
+            assert_eq!(parsed.get("note"), Some(&Some("3".to_string())));
+            assert_eq!(extract_instances(&format!("x {text} y")), vec![parsed]);
+        }
+        assert_eq!(
+            contextualize_selected(
+                &Record::new(schema, vec![Value::text("a\nb"), Value::Missing]).unwrap(),
+                &[0, 1]
+            ),
+            "[name: \"a\\nb\", note: ???]"
+        );
+    }
+
+    #[test]
+    fn appending_writers_match_the_allocating_forms() {
+        let r = restaurant();
+        let mut out = String::from("prefix ");
+        contextualize_into(&mut out, &r);
+        assert_eq!(out, format!("prefix {}", contextualize(&r)));
+        out.clear();
+        contextualize_selected_into(&mut out, &r, [2, 9, 1]);
+        assert_eq!(out, contextualize_selected(&r, &[2, 1]));
+        out.clear();
+        contextualize_text_into(&mut out, &[("name", "zip"), ("description", "a \"code\"")]);
+        assert_eq!(out, r#"[name: "zip", description: "a \"code\""]"#);
     }
 
     #[test]

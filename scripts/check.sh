@@ -66,6 +66,14 @@ cargo run --release -q -p dprep-bench --bin bench_scale -- \
   --rows 10000 --shard-size 64 --mode both \
   --max-rss-mb 64 --min-rows-per-sec 2000 --out BENCH_scale.json
 
+echo "== repo benchmark smoke (perfbench at its tiny test size) =="
+# The benchmark is its own package calling the workspace's public API
+# (PlanStream, request_fingerprint, parse_response, ...); its smoke tests
+# run every workload at a tiny size with the pinned checksums, so an API
+# or output change the benchmark depends on fails here, not at the next
+# benchmark run.
+cargo test --release -q --manifest-path perfbench/Cargo.toml
+
 echo "== bench-regression gate (pinned Table 3 sweep vs BENCH_baseline.json) =="
 # Fails on any billed-token change or a >20% virtual-latency regression,
 # and prints the sweep's per-component cost table.
